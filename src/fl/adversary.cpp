@@ -102,11 +102,6 @@ AdversaryMode adversary_mode_from_name(const std::string& name) {
       " (expected none|label_flip|scale|sign_flip|free_ride|corrupt)");
 }
 
-bool adversary_mode_name_valid(const std::string& name) {
-  return name.empty() || name == "none" || name == "label_flip" || name == "scale" ||
-         name == "sign_flip" || name == "free_ride" || name == "corrupt";
-}
-
 const char* adversary_mode_name(AdversaryMode mode) {
   switch (mode) {
     case AdversaryMode::kNone: return "none";

@@ -73,8 +73,4 @@ class AdversaryModel {
 [[nodiscard]] AdversaryMode adversary_mode_from_name(const std::string& name);
 [[nodiscard]] const char* adversary_mode_name(AdversaryMode mode);
 
-/// True when `name` parses (used by env knobs that warn-and-ignore typos
-/// instead of throwing).
-[[nodiscard]] bool adversary_mode_name_valid(const std::string& name);
-
 }  // namespace fedtiny::fl

@@ -32,9 +32,4 @@ const char* aggregation_name(Aggregation policy) {
   return "fedavg";
 }
 
-bool aggregation_name_valid(const std::string& name) {
-  return name.empty() || name == "fedavg" || name == "norm_clip" ||
-         name == "trimmed_mean" || name == "coord_median";
-}
-
 }  // namespace fedtiny::fl

@@ -16,8 +16,4 @@ namespace fedtiny::fl {
 [[nodiscard]] AggregationConfig aggregation_config_from_name(const std::string& name);
 [[nodiscard]] const char* aggregation_name(Aggregation policy);
 
-/// True when `name` parses (used by env knobs that warn-and-ignore typos
-/// instead of throwing).
-[[nodiscard]] bool aggregation_name_valid(const std::string& name);
-
 }  // namespace fedtiny::fl

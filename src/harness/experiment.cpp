@@ -15,6 +15,7 @@
 #include "fl/adversary.h"
 #include "fl/aggregation.h"
 #include "fl/codec.h"
+#include "harness/knobs.h"
 #include "metrics/memory.h"
 #include "nn/models.h"
 #include "tensor/kernels.h"
@@ -42,10 +43,12 @@ core::PruningSchedule default_schedule(const ScaleConfig& scale) {
 }  // namespace
 
 RunResult Experiment::run(const RunSpec& spec) const {
+  // Every knob is checked before any work: a typo must not silently run the
+  // wrong method, an uncompressed wire, the unprotected mean or a clean fleet.
+  validate(spec);
+
   // Kernel engine selection is process-wide (see RunSpec::kernels); an
   // explicit spec knob overrides the FEDTINY_KERNELS-seeded default.
-  // Unknown values are an error, not a silent fallback — a typo must not
-  // masquerade as the reference oracle.
   if (!spec.kernels.empty()) {
     kernels::set_mode(kernels::parse_mode(spec.kernels.c_str()));
   }
@@ -82,15 +85,14 @@ RunResult Experiment::run(const RunSpec& spec) const {
   model_config.image_size = scale_.image_size;
   model_config.width_mult = scale_.width_mult;
   model_config.seed = spec.seed;
-
-  std::unique_ptr<nn::Model> model;
-  if (spec.model == "resnet18") {
-    model = nn::make_resnet18(model_config);
-  } else if (spec.model == "vgg11") {
-    model = nn::make_vgg11(model_config);
-  } else {
-    throw std::invalid_argument("unknown model: " + spec.model);
-  }
+  // Also the replica factory for the parallel client pool (same
+  // architecture; the trainer overwrites replica weights with the broadcast
+  // state).
+  nn::ModelFactory factory = [model_config, model_name = spec.model] {
+    return model_name == "vgg11" ? nn::make_vgg11(model_config)
+                                 : nn::make_resnet18(model_config);
+  };
+  std::unique_ptr<nn::Model> model = factory();
 
   // Dense references (shared by every method for ratio reporting).
   auto dense_cost = metrics::analyze_model(*model);
@@ -122,44 +124,20 @@ RunResult Experiment::run(const RunSpec& spec) const {
   fl_config.parallel_clients = spec.parallel_clients;
   fl_config.clients_per_round = spec.clients_per_round;
   fl_config.sim = spec.sim;
-  // Payload codec: parsed strictly (a typo must not silently run
-  // uncompressed). Without sparse_exchange there is no serialized wire, so
-  // the codec stays disabled and the run is bitwise-identical to "none".
+  // Without sparse_exchange there is no serialized wire, so the codec stays
+  // disabled and the run is bitwise-identical to "none".
   if (!spec.codec.empty()) {
     fl_config.codec = fl::codec::config_from_name(spec.codec);
-    if (spec.quant_bits != 0) {
-      if (spec.quant_bits != 4 && spec.quant_bits != 8) {
-        throw std::invalid_argument("quant_bits must be 4 or 8");
-      }
-      fl_config.codec.quant_bits = spec.quant_bits;
-    }
-    if (spec.topk_frac != 0.0) {
-      if (spec.topk_frac < 0.0 || spec.topk_frac > 1.0) {
-        throw std::invalid_argument("topk_frac must be in (0, 1]");
-      }
-      fl_config.codec.topk_frac = spec.topk_frac;
-    }
+    if (spec.quant_bits != 0) fl_config.codec.quant_bits = spec.quant_bits;
+    if (spec.topk_frac != 0.0) fl_config.codec.topk_frac = spec.topk_frac;
     if (!spec.sparse_exchange) fl_config.codec = fl::CodecConfig{};
   }
-  // Robust aggregation policy + adversary model: both parsed strictly (a
-  // typo must not silently run the unprotected mean, or a clean fleet).
   if (!spec.aggregation.empty()) {
     fl_config.aggregation = fl::aggregation_config_from_name(spec.aggregation);
-    if (spec.trim_frac != 0.0) {
-      if (spec.trim_frac <= 0.0 || spec.trim_frac >= 0.5) {
-        throw std::invalid_argument("trim_frac must be in (0, 0.5)");
-      }
-      fl_config.aggregation.trim_frac = spec.trim_frac;
-    }
-    if (spec.clip_tau != 0.0) {
-      if (spec.clip_tau < 0.0) throw std::invalid_argument("clip_tau must be >= 0");
-      fl_config.aggregation.clip_tau = spec.clip_tau;
-    }
+    if (spec.trim_frac != 0.0) fl_config.aggregation.trim_frac = spec.trim_frac;
+    if (spec.clip_tau != 0.0) fl_config.aggregation.clip_tau = spec.clip_tau;
   }
   if (spec.adversary_frac != 0.0 || !spec.adversary_mode.empty()) {
-    if (spec.adversary_frac < 0.0 || spec.adversary_frac > 1.0) {
-      throw std::invalid_argument("adversary_frac must be in [0, 1]");
-    }
     fl_config.adversary.fraction = spec.adversary_frac;
     fl_config.adversary.mode = fl::adversary_mode_from_name(spec.adversary_mode);
     if (spec.adversary_scale != 0.0) fl_config.adversary.scale = spec.adversary_scale;
@@ -215,13 +193,6 @@ RunResult Experiment::run(const RunSpec& spec) const {
 
   const auto schedule = spec.schedule_overridden ? spec.schedule : default_schedule(scale_);
   const double d = spec.density;
-
-  // Replica factory for the parallel client pool (same architecture; the
-  // trainer overwrites replica weights with the broadcast state).
-  nn::ModelFactory factory = [model_config, model_name = spec.model] {
-    return model_name == "vgg11" ? nn::make_vgg11(model_config)
-                                 : nn::make_resnet18(model_config);
-  };
 
   auto finish = [&](fl::FederatedTrainer& trainer, metrics::ScoreStorage storage,
                     bool dense_stored, int64_t topk_capacity) {

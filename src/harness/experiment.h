@@ -26,10 +26,13 @@
 
 namespace fedtiny::harness {
 
+/// One run's settings. The knob table (harness/knobs.h) declares each
+/// knob's CLI flag, env var, accepted values and help; `fedtiny_cli --help`
+/// prints it. Values outside a knob's accepted set make Experiment::run throw.
 struct RunSpec {
   std::string method = "fedtiny";
   std::string dataset = "cifar10s";
-  std::string model = "resnet18";  // resnet18 | vgg11
+  std::string model = "resnet18";
   double density = 0.01;
   double dirichlet_alpha = 0.5;
   uint64_t seed = 1;
@@ -47,51 +50,34 @@ struct RunSpec {
   /// checkpointing via io::save_state / io::save_mask).
   bool capture_final = false;
   // ---- Sparse execution & exchange engine (see fl/config.h). ----
-  /// Ship real serialized sparse payloads; comm_bytes becomes measured.
   bool sparse_exchange = false;
-  /// CSR eval-forward threshold (0 = dense evaluation).
   float sparse_exec_max_density = 0.0f;
-  /// Run local SGD on the CSR sparse path (masked backward); needs
-  /// sparse_exec_max_density > 0.
   bool sparse_training = false;
-  /// Client-training worker lanes (1 = sequential, 0 = executor auto).
   int parallel_clients = 1;
-  /// Payload codec for sparse-exchange rounds: "" or "none" keeps the v1
-  /// fp32 wire (bitwise-historical); "int8" | "q4" | "topk8" | "topk4"
-  /// activate the v2 quantizing codec stack (fl/codec.h). Ignored (with the
-  /// v1 wire) unless sparse_exchange is on — there is no wire to encode
-  /// otherwise. Any other value throws.
+  /// Payload codec for sparse-exchange rounds (fl/codec.h): "" or "none"
+  /// keeps the v1 fp32 wire (bitwise-historical). Ignored (with the v1
+  /// wire) unless sparse_exchange is on — there is no wire to encode
+  /// otherwise.
   std::string codec;
-  /// Override CodecConfig::quant_bits for the top-k codec (0 = keep the
-  /// codec's default; only 4 and 8 are valid).
+  /// Override CodecConfig::quant_bits for the top-k codec (0 = keep).
   int quant_bits = 0;
-  /// Override CodecConfig::topk_frac (0 = keep default 0.08).
+  /// Override CodecConfig::topk_frac (0 = keep).
   double topk_frac = 0.0;
-  /// Kernel engine implementation: "" = inherit the process mode
-  /// (FEDTINY_KERNELS env, default fast), or "reference" | "fast" (any
-  /// other value throws). The mode is process-wide, so run_all rejects
-  /// batches whose specs pin conflicting modes.
+  /// Kernel engine implementation ("" = inherit the process mode). The mode
+  /// is process-wide, so run_all rejects batches whose specs pin
+  /// conflicting modes.
   std::string kernels;
   // ---- Robust aggregation & adversaries (see fl/aggregation.h, fl/adversary.h). ----
   /// Server aggregation policy: "" or "fedavg" keeps the historical
-  /// weighted-mean fold (bitwise-identical); "norm_clip" | "trimmed_mean" |
-  /// "coord_median" activate the robust policies. Any other value throws.
+  /// weighted-mean fold (bitwise-identical).
   std::string aggregation;
-  /// Per-coordinate trim fraction for trimmed_mean (0 = keep default 0.3).
   double trim_frac = 0.0;
-  /// Fixed norm_clip threshold (0 = adaptive: previous round's median norm).
   double clip_tau = 0.0;
-  /// Fraction of clients marked adversarial (0 = clean fleet).
   double adversary_frac = 0.0;
-  /// Adversary behavior: "" or "none" | "label_flip" | "scale" |
-  /// "sign_flip" | "free_ride" | "corrupt". Any other value throws.
   std::string adversary_mode;
-  /// Update scaling factor for adversary_mode=scale (0 = keep default -10).
   double adversary_scale = 0.0;
   // ---- Round scheduler (see fl/config.h). ----
-  /// Federation size K (clients the data is partitioned over).
   int num_clients = 10;
-  /// Clients sampled per round (0 = all K).
   int clients_per_round = 0;
   /// Out-of-core fleet: when > 0, client training data is generated on
   /// demand (data::SyntheticFleetSource, this many samples per client)

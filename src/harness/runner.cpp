@@ -1,165 +1,22 @@
 #include "harness/runner.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
-#include "fl/adversary.h"
-#include "fl/aggregation.h"
+#include "harness/knobs.h"
 #include "tensor/kernels.h"
 #include "tensor/parallel.h"
 
 namespace fedtiny::harness {
 
 RunSpec with_env_knobs(RunSpec spec) {
-  if (const char* v = std::getenv("FEDTINY_SPARSE_EXCHANGE")) {
-    spec.sparse_exchange = std::atoi(v) != 0;
-  }
-  if (const char* v = std::getenv("FEDTINY_SPARSE_EXEC")) {
-    spec.sparse_exec_max_density = static_cast<float>(std::atof(v));
-  }
-  if (const char* v = std::getenv("FEDTINY_SPARSE_TRAINING")) {
-    spec.sparse_training = std::atoi(v) != 0;
-  }
-  if (const char* v = std::getenv("FEDTINY_PARALLEL_CLIENTS")) {
-    spec.parallel_clients = std::atoi(v);
-  }
-  if (const char* v = std::getenv("FEDTINY_KERNELS"); v != nullptr && spec.kernels.empty()) {
-    // Env policy matches the engine's own seed (kernels::detail::mode_from_env):
-    // a typo'd env value warns and is ignored. Only explicit RunSpec/--kernels
-    // values are strict (Experiment::run throws via kernels::parse_mode).
-    // The env fills only *unpinned* specs: an explicit spec pin must keep
-    // winning (and conflicting explicit pins must keep throwing) no matter
-    // what ambient FEDTINY_KERNELS the process was launched with — the
-    // reference-mode CI ctest job runs this exact combination.
-    if (std::strcmp(v, "reference") == 0 || std::strcmp(v, "fast") == 0) {
-      spec.kernels = v;
-    } else {
-      std::fprintf(stderr, "FEDTINY_KERNELS=%s unrecognized; ignoring\n", v);
-    }
-  }
-  if (const char* v = std::getenv("FEDTINY_CODEC"); v != nullptr && spec.codec.empty()) {
-    // Same policy as FEDTINY_KERNELS: a typo'd ambient env value warns and is
-    // ignored (the FEDTINY_CODEC=int8 CI ctest job must not turn unrelated
-    // binaries into hard failures), while explicit RunSpec/--codec values stay
-    // strict. The env fills only unpinned specs so an explicit pin wins.
-    if (std::strcmp(v, "none") == 0 || std::strcmp(v, "int8") == 0 ||
-        std::strcmp(v, "q4") == 0 || std::strcmp(v, "topk") == 0 ||
-        std::strcmp(v, "topk8") == 0 || std::strcmp(v, "topk4") == 0) {
-      spec.codec = v;
-    } else {
-      std::fprintf(stderr, "FEDTINY_CODEC=%s unrecognized; ignoring\n", v);
-    }
-  }
-  if (const char* v = std::getenv("FEDTINY_QUANT_BITS"); v != nullptr && spec.quant_bits == 0) {
-    const int bits = std::atoi(v);
-    if (bits == 4 || bits == 8) {
-      spec.quant_bits = bits;
-    } else {
-      std::fprintf(stderr, "FEDTINY_QUANT_BITS=%s unrecognized (want 4 or 8); ignoring\n", v);
-    }
-  }
-  if (const char* v = std::getenv("FEDTINY_TOPK_FRAC"); v != nullptr && spec.topk_frac == 0.0) {
-    const double frac = std::atof(v);
-    if (frac > 0.0 && frac <= 1.0) {
-      spec.topk_frac = frac;
-    } else {
-      std::fprintf(stderr, "FEDTINY_TOPK_FRAC=%s out of (0, 1]; ignoring\n", v);
-    }
-  }
-  if (const char* v = std::getenv("FEDTINY_AGGREGATION");
-      v != nullptr && spec.aggregation.empty()) {
-    // Same policy as FEDTINY_KERNELS/FEDTINY_CODEC: the ambient env fills
-    // only unpinned specs, and a typo'd value warns and is ignored (the
-    // robust-aggregation CI ctest job exports this for every binary). Only
-    // explicit RunSpec/--aggregation values parse strictly.
-    if (fl::aggregation_name_valid(v)) {
-      spec.aggregation = v;
-    } else {
-      std::fprintf(stderr, "FEDTINY_AGGREGATION=%s unrecognized; ignoring\n", v);
-    }
-  }
-  if (const char* v = std::getenv("FEDTINY_TRIM_FRAC"); v != nullptr && spec.trim_frac == 0.0) {
-    const double frac = std::atof(v);
-    if (frac > 0.0 && frac < 0.5) {
-      spec.trim_frac = frac;
-    } else {
-      std::fprintf(stderr, "FEDTINY_TRIM_FRAC=%s out of (0, 0.5); ignoring\n", v);
-    }
-  }
-  if (const char* v = std::getenv("FEDTINY_CLIP_TAU"); v != nullptr && spec.clip_tau == 0.0) {
-    const double tau = std::atof(v);
-    if (tau > 0.0) {
-      spec.clip_tau = tau;
-    } else {
-      std::fprintf(stderr, "FEDTINY_CLIP_TAU=%s not positive; ignoring\n", v);
-    }
-  }
-  if (const char* v = std::getenv("FEDTINY_ADVERSARY_FRAC");
-      v != nullptr && spec.adversary_frac == 0.0) {
-    const double frac = std::atof(v);
-    if (frac >= 0.0 && frac <= 1.0) {
-      spec.adversary_frac = frac;
-    } else {
-      std::fprintf(stderr, "FEDTINY_ADVERSARY_FRAC=%s out of [0, 1]; ignoring\n", v);
-    }
-  }
-  if (const char* v = std::getenv("FEDTINY_ADVERSARY_MODE");
-      v != nullptr && spec.adversary_mode.empty()) {
-    if (fl::adversary_mode_name_valid(v)) {
-      spec.adversary_mode = v;
-    } else {
-      std::fprintf(stderr, "FEDTINY_ADVERSARY_MODE=%s unrecognized; ignoring\n", v);
-    }
-  }
-  if (const char* v = std::getenv("FEDTINY_ADVERSARY_SCALE");
-      v != nullptr && spec.adversary_scale == 0.0) {
-    spec.adversary_scale = std::atof(v);
-  }
-  if (const char* v = std::getenv("FEDTINY_CLIENTS_PER_ROUND")) {
-    spec.clients_per_round = std::atoi(v);
-  }
-  if (const char* v = std::getenv("FEDTINY_ON_DEMAND_SAMPLES")) {
-    spec.on_demand_samples_per_client = std::atoll(v);
-  }
-  if (const char* v = std::getenv("FEDTINY_SIM_DEVICE_FLOPS")) {
-    spec.sim.device_flops_per_s = std::atof(v);
-  }
-  if (const char* v = std::getenv("FEDTINY_SIM_BANDWIDTH")) {
-    spec.sim.bandwidth_bps = std::atof(v);
-  }
-  if (const char* v = std::getenv("FEDTINY_SIM_LATENCY")) {
-    spec.sim.latency_s = std::atof(v);
-  }
-  if (const char* v = std::getenv("FEDTINY_SIM_HET")) {
-    spec.sim.het_spread = std::atof(v);
-  }
-  if (const char* v = std::getenv("FEDTINY_SIM_STRAGGLERS")) {
-    spec.sim.straggler_fraction = std::atof(v);
-  }
-  if (const char* v = std::getenv("FEDTINY_SIM_SLOWDOWN")) {
-    spec.sim.straggler_slowdown = std::atof(v);
-  }
-  if (const char* v = std::getenv("FEDTINY_SIM_AVAILABILITY")) {
-    spec.sim.availability = std::atof(v);
-  }
-  if (const char* v = std::getenv("FEDTINY_SIM_DROPOUT")) {
-    spec.sim.dropout = std::atof(v);
-  }
-  if (const char* v = std::getenv("FEDTINY_SIM_DEADLINE")) {
-    spec.sim.deadline_s = std::atof(v);
-  }
-  if (const char* v = std::getenv("FEDTINY_ASYNC")) {
-    spec.sim.async_rounds = std::atoi(v) != 0;
-  }
-  if (const char* v = std::getenv("FEDTINY_ASYNC_M")) {
-    spec.sim.async_aggregate_m = std::atoi(v);
-  }
-  if (const char* v = std::getenv("FEDTINY_STALENESS_ALPHA")) {
-    spec.sim.staleness_alpha = std::atof(v);
+  static const RunSpec defaults;
+  for (const Knob& k : knobs()) {
+    if (k.env == nullptr || k.show(spec) != k.show(defaults)) continue;
+    env_value(k.env, k.domain, [&](const char* v) { return k.set(spec, v); });
   }
   return spec;
 }
@@ -188,10 +45,12 @@ std::vector<RunResult> run_all(const Experiment& experiment, const std::vector<R
   }
   if (!pinned.empty()) kernels::set_mode(kernels::parse_mode(pinned.c_str()));
   if (workers <= 0) {
-    const char* env = std::getenv("FEDTINY_WORKERS");
-    if (env != nullptr) {
-      workers = std::atoi(env);
-    }
+    env_value("FEDTINY_WORKERS", ">= 0 (0 = auto)", [&](const char* v) {
+      int64_t n = 0;
+      if (!parse_int(v, n) || n < 0 || n > std::numeric_limits<int>::max()) return false;
+      workers = static_cast<int>(n);
+      return true;
+    });
     if (workers <= 0) workers = default_pool_workers();
   }
   workers = std::min<int>(workers, static_cast<int>(specs.size()));

@@ -1,6 +1,8 @@
 #include "harness/scale.h"
 
-#include <cstdlib>
+#include <string>
+
+#include "harness/knobs.h"
 
 namespace fedtiny::harness {
 
@@ -42,11 +44,13 @@ ScaleConfig ScaleConfig::paper() {
 }
 
 ScaleConfig ScaleConfig::from_env() {
-  const char* env = std::getenv("FEDTINY_SCALE");
-  const std::string scale = env != nullptr ? env : "tiny";
-  if (scale == "paper") return paper();
-  if (scale == "small") return small();
-  return tiny();
+  ScaleConfig scale = tiny();
+  env_value("FEDTINY_SCALE", "tiny|small|paper", [&](const std::string& v) {
+    if (v == "small") scale = small();
+    if (v == "paper") scale = paper();
+    return v == "tiny" || v == "small" || v == "paper";
+  });
+  return scale;
 }
 
 }  // namespace fedtiny::harness

@@ -28,7 +28,7 @@ struct ScaleConfig {
   static ScaleConfig tiny();
   static ScaleConfig small();
   static ScaleConfig paper();
-  /// Read FEDTINY_SCALE (default "tiny").
+  /// Read FEDTINY_SCALE (default "tiny"; other values warn and run tiny).
   static ScaleConfig from_env();
 };
 

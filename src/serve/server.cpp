@@ -142,8 +142,8 @@ std::future<InferResult> InferenceServer::submit_tier(int tier, Tensor input) {
     // still ours — fail the request instead of dropping it silently.
     InferResult r;
     r.tier = tier;
-    req.done.set_value(std::move(r));
     stats_.record_failed();
+    req.done.set_value(std::move(r));
   }
   return future;
 }
@@ -203,8 +203,8 @@ void InferenceServer::serve_batch(std::vector<InferRequest> batch) {
     InferResult r;
     r.tier = batch[i].tier;
     r.total_ms = ms_between(batch[i].enqueued, ServeClock::now());
-    batch[i].done.set_value(std::move(r));
     stats_.record_failed();
+    batch[i].done.set_value(std::move(r));
   }
   if (good.empty()) return;
 
@@ -222,7 +222,18 @@ void InferenceServer::serve_batch(std::vector<InferRequest> batch) {
   const auto finished = ServeClock::now();
   const int64_t classes = logits.dim(1);
 
+  // Every counter is recorded before the promise it covers is fulfilled, so
+  // a caller returning from get() reads stats that include its own request.
+  stats_.record_batch(n);
+  tier.served.fetch_add(static_cast<uint64_t>(n), std::memory_order_relaxed);
+  // Served-latency EWMA feeds route_by_budget. Benignly racy between
+  // workers (both observed real latencies; last store wins).
   double sum_ms = 0.0;
+  for (size_t i : good) sum_ms += ms_between(batch[i].enqueued, finished);
+  const double mean = sum_ms / static_cast<double>(n);
+  const double old = tier.ewma_ms.load(std::memory_order_relaxed);
+  tier.ewma_ms.store(old <= 0.0 ? mean : 0.8 * old + 0.2 * mean, std::memory_order_relaxed);
+
   for (int64_t i = 0; i < n; ++i) {
     auto& req = batch[good[static_cast<size_t>(i)]];
     InferResult r;
@@ -236,18 +247,9 @@ void InferenceServer::serve_batch(std::vector<InferRequest> batch) {
     r.queue_ms = ms_between(req.enqueued, dispatched);
     r.total_ms = ms_between(req.enqueued, finished);
     r.ok = true;
-    sum_ms += r.total_ms;
     stats_.record_served(r.total_ms);
     req.done.set_value(std::move(r));
   }
-  stats_.record_batch(n);
-  tier.served.fetch_add(static_cast<uint64_t>(n), std::memory_order_relaxed);
-
-  // Served-latency EWMA feeds route_by_budget. Benignly racy between
-  // workers (both observed real latencies; last store wins).
-  const double mean = sum_ms / static_cast<double>(n);
-  const double old = tier.ewma_ms.load(std::memory_order_relaxed);
-  tier.ewma_ms.store(old <= 0.0 ? mean : 0.8 * old + 0.2 * mean, std::memory_order_relaxed);
 }
 
 }  // namespace fedtiny::serve

@@ -7,8 +7,13 @@ namespace fedtiny::serve {
 
 void ServingStats::record_served(double total_ms) {
   std::lock_guard<std::mutex> lk(mu_);
+  const auto sample = static_cast<float>(total_ms);
+  if (samples_.size() < kMaxSamples) {
+    samples_.push_back(sample);
+  } else {
+    samples_[served_ % kMaxSamples] = sample;
+  }
   ++served_;
-  if (samples_.size() < kMaxSamples) samples_.push_back(static_cast<float>(total_ms));
 }
 
 void ServingStats::record_batch(int64_t size) {

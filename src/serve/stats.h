@@ -40,8 +40,9 @@ class ServingStats {
   void reset();
 
  private:
-  // Latency samples are capped (reservoir-free: first kMaxSamples requests)
-  // so a long-running server cannot grow without bound; count keeps the true
+  // Latency samples are a ring of the most recent kMaxSamples requests (slot
+  // served_ % kMaxSamples), so percentiles track current traffic and a
+  // long-running server cannot grow without bound; count keeps the true
   // total. 1M samples x 4B = 4 MB worst case.
   static constexpr size_t kMaxSamples = 1u << 20;
 

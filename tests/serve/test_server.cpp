@@ -75,6 +75,22 @@ TEST(RouteByBudget, PureCases) {
   EXPECT_EQ(route_by_budget(cold, 3.0), 1);  // no estimate -> optimistic fit
 }
 
+TEST(ServingStats, PercentilesTrackRecentTraffic) {
+  // A full sample buffer of warm-up traffic, then a slow phase a quarter of
+  // its size: the percentiles must see the slow phase, not stay frozen on
+  // the warm-up.
+  ServingStats stats;
+  constexpr int kWarm = 1 << 20;
+  constexpr int kSlow = 1 << 18;
+  for (int i = 0; i < kWarm; ++i) stats.record_served(1.0);
+  for (int i = 0; i < kSlow; ++i) stats.record_served(10.0);
+  const auto lat = stats.latency();
+  EXPECT_EQ(lat.count, static_cast<uint64_t>(kWarm + kSlow));
+  EXPECT_EQ(lat.p50_ms, 1.0);
+  EXPECT_EQ(lat.p99_ms, 10.0);
+  EXPECT_EQ(lat.max_ms, 10.0);
+}
+
 TEST(Servable, ForwardBitwiseEqualsFreshSingleThreadedLoad) {
   const auto payload = tiny_payload(0.1);
   ServableConfig sc;
